@@ -25,11 +25,26 @@ happened mid-phase, checkpoint at retraining points (the engine flushes
 its loader there) so the training set is reproducible from the stored
 archetypes.
 
-On-disk layout (all via :func:`repro.storage.persistence.dump_state`
-and :func:`~repro.storage.persistence.dump_database`)::
+On-disk layout::
 
-    <directory>/crawl.json        # versioned runtime state blob
-    <directory>/database/*.jsonl  # relational rows (when a loader is set)
+    <directory>/crawl.json              # versioned runtime state blob,
+                                        # carrying the database manifest
+    <directory>/database/<rel>.jsonl    # relational rows (when a loader
+                                        # is set), one file per relation
+                                        # (<rel>.<n>.jsonl after a rewrite)
+    <directory>/database/manifest.json  # the same manifest, so
+                                        # load_database(<directory>/database)
+                                        # works on its own
+
+A :class:`Checkpointer` saves incrementally through one
+:class:`~repro.storage.persistence.DumpWriter`: each save appends the
+rows added since the previous save and rewrites, into a new file, only a
+relation that was updated or had rows replaced or deleted.  The atomic
+temp + rename of ``crawl.json`` is a save's single commit point, and
+:func:`restore_context` reads the relation files through the manifest in
+``crawl.json``; files and byte ranges that manifest references are not
+touched until a newer save has committed.  A crash at any point of a
+save therefore restores either the previous checkpoint or the new one.
 """
 
 from __future__ import annotations
@@ -38,7 +53,7 @@ import pathlib
 from collections import Counter
 
 from repro.storage.persistence import (
-    dump_database,
+    DumpWriter,
     dump_state,
     load_database,
     load_state,
@@ -169,18 +184,10 @@ def snapshot_crawler(crawler, stats) -> dict:
 def save_checkpoint(crawler, stats, directory) -> pathlib.Path:
     """Persist the crawl state (and database rows, if a loader is set).
 
-    ``crawler`` may be a :class:`FocusedCrawler` or its context.
+    ``crawler`` may be a :class:`FocusedCrawler` or its context.  This
+    is the first save of a fresh :class:`Checkpointer`.
     """
-    ctx = _context_of(crawler)
-    directory = pathlib.Path(directory)
-    if ctx.loader is not None:
-        ctx.loader.flush_all()
-        dump_database(ctx.loader.database, directory / _DB_SUBDIR)
-    path = dump_state(snapshot_context(ctx, stats), directory, kind=_KIND)
-    obs = getattr(ctx, "obs", None)
-    if obs is not None:
-        obs.registry.counter("robust_checkpoint_saves_total").inc()
-    return path
+    return Checkpointer(directory).save(crawler, stats)
 
 
 def load_checkpoint(directory) -> dict:
@@ -262,13 +269,22 @@ def restore_context(ctx, source, restore_database: bool = True):
         workers.cross_shard_links = worker_state["cross_shard_links"]
         workers.local_links = worker_state["local_links"]
 
+    # the rows are read through the manifest the commit made current; a
+    # checkpoint without one but with a database dump predates that and
+    # is rejected by load_database's format check
+    manifest = state.get("database")
     if (
         restore_database
         and directory is not None
         and ctx.loader is not None
-        and (directory / _DB_SUBDIR / "manifest.json").exists()
+        and (
+            manifest is not None
+            or (directory / _DB_SUBDIR / "manifest.json").exists()
+        )
     ):
-        dumped = load_database(directory / _DB_SUBDIR, validate=False)
+        dumped = load_database(
+            directory / _DB_SUBDIR, validate=False, manifest=manifest
+        )
         for name, relation in dumped.relations.items():
             rows = relation.scan()
             if rows:
@@ -288,8 +304,10 @@ def restore_crawler(crawler, source, restore_database: bool = True):
 class Checkpointer:
     """Periodic checkpoint hook for :meth:`FocusedCrawler.crawl`.
 
-    Saves every ``every`` visits into ``directory`` (atomically -- a
-    kill during a save leaves the previous checkpoint intact).
+    Saves every ``every`` visits into ``directory``.  Each save writes
+    only the database rows added since the previous one, and is atomic:
+    a kill at any point of a save leaves the previous checkpoint intact
+    and restorable.
     """
 
     def __init__(self, directory, every: int = 50) -> None:
@@ -299,6 +317,7 @@ class Checkpointer:
         self.every = every
         self.saves = 0
         self._since_save = 0
+        self._writer = DumpWriter(self.directory / _DB_SUBDIR)
 
     def on_visit(self, crawler, stats) -> bool:
         """Called by the crawl loop after each visit; True if it saved."""
@@ -308,7 +327,30 @@ class Checkpointer:
         self.save(crawler, stats)
         return True
 
-    def save(self, crawler, stats) -> None:
-        save_checkpoint(crawler, stats, self.directory)
+    def save(self, crawler, stats) -> pathlib.Path:
+        """Checkpoint ``crawler`` (a facade or a context) now."""
+        ctx = _context_of(crawler)
+        staged = None
+        if ctx.loader is not None:
+            ctx.loader.flush_all()
+            staged = self._writer.stage(ctx.loader.database)
+        state = snapshot_context(ctx, stats)
+        if staged is not None:
+            state["database"] = staged.manifest
+        path = dump_state(state, self.directory, kind=_KIND)  # commit
+        if staged is not None:
+            self._writer.commit(staged)
         self.saves += 1
         self._since_save = 0
+        obs = getattr(ctx, "obs", None)
+        if obs is not None:
+            registry = obs.registry
+            registry.counter("robust_checkpoint_saves_total").inc()
+            if staged is not None:
+                registry.counter("robust_checkpoint_rows_written_total").inc(
+                    staged.rows_written
+                )
+                registry.counter(
+                    "robust_checkpoint_bytes_written_total"
+                ).inc(staged.bytes_written)
+        return path

@@ -12,12 +12,20 @@ deletes.  ``bulk_insert`` is the fast path used by the
 :class:`~repro.storage.bulkloader.BulkLoader`: it validates and indexes a
 whole batch with one call, skipping the per-statement overhead that the
 paper found dominated row-at-a-time SQL inserts.
+
+Rows keep insertion order, and ``Relation.rewrites`` counts the
+mutations that are not appends: an upsert that replaces a row, a delete
+that removes rows, and any update.  While that count is unchanged, the
+rows before an earlier point are untouched and the rows added since are
+exactly the relation's tail, which lets :mod:`repro.storage.persistence`
+save by appending.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import islice
 
 from repro.errors import StorageError
 from repro.storage.schema import BINGO_SCHEMA, RelationSchema
@@ -37,6 +45,8 @@ class Relation:
         }
         #: simulated per-statement overhead counter (for the throughput bench)
         self.statements = 0
+        #: non-append mutations so far (replacing upserts, deletes, updates)
+        self.rewrites = 0
 
     # -- keys ------------------------------------------------------------
 
@@ -82,6 +92,7 @@ class Relation:
         key = self._pk(row)
         if key in self._rows:
             self._remove_key(key)
+            self.rewrites += 1
         self._rows[key] = row
         for index, mapping in self._indexes.items():
             mapping.setdefault(self._index_key(index, row), set()).add(key)
@@ -95,6 +106,8 @@ class Relation:
         ]
         for key in victims:
             self._remove_key(key)
+        if victims:
+            self.rewrites += 1
         return len(victims)
 
     def _remove_key(self, key: tuple) -> None:
@@ -134,6 +147,7 @@ class Relation:
                         del mapping[old_key]
                 mapping.setdefault(new_key, set()).add(key)
         self._rows[key] = updated
+        self.rewrites += 1
 
     # -- access -------------------------------------------------------------
 
@@ -158,6 +172,10 @@ class Relation:
         if predicate is None:
             return list(self._rows.values())
         return [row for row in self._rows.values() if predicate(row)]
+
+    def tail(self, start: int) -> Iterator[dict]:
+        """The rows after the first ``start``, in insertion order."""
+        return islice(self._rows.values(), start, None)
 
     def __len__(self) -> int:
         return len(self._rows)

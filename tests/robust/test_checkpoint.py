@@ -21,7 +21,7 @@ import json
 
 import pytest
 
-from repro.core import FocusedCrawler
+from repro.core import BingoEngine, FocusedCrawler
 from repro.core.crawler import SOFT, PhaseSettings
 from repro.robust import (
     Checkpointer,
@@ -152,3 +152,75 @@ class TestSnapshotRoundTrip:
     def test_invalid_interval_rejected(self, tmp_path) -> None:
         with pytest.raises(ValueError):
             Checkpointer(tmp_path, every=0)
+
+
+class _RecordingCheckpointer(Checkpointer):
+    """Remembers each save's manifest and per-relation rewrite counts.
+
+    Before the third save it re-scores one archetype (an upsert that
+    replaces a row), so that save must rewrite ``archetypes`` whole.
+    """
+
+    def __init__(self, directory, database, every) -> None:
+        super().__init__(directory, every=every)
+        self.database = database
+        self.history: list[tuple[dict, dict]] = []
+
+    def save(self, crawler, stats):
+        if len(self.history) == 2:
+            archetypes = self.database["archetypes"]
+            row = archetypes.scan()[0]
+            archetypes.upsert({**row, "score": row["score"] / 2})
+        path = super().save(crawler, stats)
+        manifest = load_checkpoint(self.directory)["database"]["relations"]
+        rewrites = {
+            name: relation.rewrites
+            for name, relation in self.database.relations.items()
+        }
+        self.history.append((manifest, rewrites))
+        return path
+
+
+class TestCheckpointMetrics:
+    def test_written_counters_count_appends_plus_rewrites(
+        self, tmp_path
+    ) -> None:
+        web = SyntheticWeb.generate(small_web_config())
+        engine = BingoEngine.for_portal(web, config=fast_engine_config())
+        engine.bootstrap()
+        engine.run_learning_phase(fetch_budget=80)
+        checkpointer = _RecordingCheckpointer(
+            tmp_path, engine.database, every=30
+        )
+        engine.run_harvesting_phase(
+            fetch_budget=150, checkpointer=checkpointer
+        )
+        history = checkpointer.history
+        assert len(history) == 5
+
+        # every row is written once, plus the whole relation again at each
+        # save that found it rewritten (updated, or rows replaced/deleted)
+        final, _ = history[-1]
+        rows = sum(info["rows"] for info in final.values())
+        size = sum(info["bytes"] for info in final.values())
+        rewritten = set()
+        for (before, before_rewrites), (_, rewrites) in zip(
+            history, history[1:]
+        ):
+            for name in before:
+                if rewrites[name] != before_rewrites[name]:
+                    rewritten.add(name)
+                    rows += before[name]["rows"]
+                    size += before[name]["bytes"]
+        assert rewritten == {"archetypes"}
+
+        registry = engine.ctx.obs.registry
+        assert registry.value("robust_checkpoint_saves_total") == 5
+        assert registry.value("robust_checkpoint_rows_written_total") == rows
+        assert registry.value("robust_checkpoint_bytes_written_total") == size
+        # a full dump at every save would have encoded far more
+        full_dumps = sum(
+            info["rows"] for manifest, _ in history
+            for info in manifest.values()
+        )
+        assert rows < full_dumps / 2
